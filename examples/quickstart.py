@@ -27,11 +27,7 @@ def word_stream(n: int = 5_000, seed: int = 7):
 
 
 def main() -> None:
-    # max_batch_records pushes columnar 64-record batches through the
-    # hot path: identical results and simulated costs, less real time.
-    env = StreamEnvironment(
-        parallelism=2, backend_factory=flowkv_backend(), max_batch_records=64
-    )
+    env = StreamEnvironment(parallelism=2, backend_factory=flowkv_backend())
     (
         env.from_source(word_stream())
         .key_by(lambda word: word.encode())

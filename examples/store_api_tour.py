@@ -17,13 +17,11 @@ Run:  python examples/store_api_tour.py
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.aar import AarStore
 from repro.core.aur import AurStore
 from repro.core.ett import SessionGapPredictor
 from repro.core.rmw import RmwStore
-from repro.kvstores.api import CAP_BATCH, PerTupleShim
+from repro.kvstores.api import CAP_BATCH
 from repro.kvstores.lsm import LsmConfig, LsmStore
 from repro.model import Window
 from repro.simenv import SimEnv
@@ -119,15 +117,6 @@ def tour_batch() -> None:
         batch.delete(b"user2")
     print(f"  after commit: config={store.get(b'config')}, "
           f"user2={store.get(b'user2')}")
-
-    # Stragglers that still mutate per-tuple can be wrapped in the shim:
-    # same behavior, but each direct call surfaces a DeprecationWarning.
-    shimmed = PerTupleShim(store)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shimmed.put(b"legacy", b"call-site")
-    print(f"  PerTupleShim warned: {caught[0].category.__name__}: "
-          f"{str(caught[0].message)[:60]}...")
 
 
 if __name__ == "__main__":

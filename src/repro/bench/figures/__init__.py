@@ -14,7 +14,6 @@ from repro.bench.figures import (  # noqa: F401 - imported for registration
     fig11,
     fig12,
     fig13,
-    fig_batch,
     fig_checkpoint,
     fig_cluster_recovery,
     fig_failover,

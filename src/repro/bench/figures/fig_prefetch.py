@@ -27,7 +27,6 @@ from repro.bench.report import format_table
 BACKENDS = ("rocksdb", "faster")
 QUERIES = ("q7", "q8")
 DEPTHS = (0, 2, 8)
-BATCH_RECORDS = 16  # hints for a whole batch overlap its earlier records
 
 
 def run(
@@ -43,9 +42,10 @@ def run(
             baseline_hash = None
             baseline_io_wait = 0.0
             for depth in depths:
+                # Throughput mode ingests columnar batches: the hints for
+                # a whole batch overlap its earlier records.
                 record = run_query(
-                    profile, query, backend, size,
-                    batch_records=BATCH_RECORDS, prefetch_depth=depth,
+                    profile, query, backend, size, prefetch_depth=depth
                 )
                 metrics = record.metrics
                 io_wait = metrics.io_wait_seconds if metrics else 0.0

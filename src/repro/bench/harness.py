@@ -140,8 +140,6 @@ def run_query(
     generator_overrides: dict[str, Any] | None = None,
     cluster: Any = None,
     recovery_mode: str = "restore",
-    batch_records: int = 1,
-    batch_bytes: int | None = None,
     prefetch_depth: int = 0,
 ) -> RunRecord:
     """Execute one cell of the evaluation matrix.
@@ -198,8 +196,6 @@ def run_query(
         cost_scale=profile.latency_cost_scale if arrival_rate else 1.0,
         faults=fault_plan.build() if fault_plan is not None else None,
         cluster=cluster,
-        batch_records=batch_records,
-        batch_bytes=batch_bytes,
         prefetch_depth=prefetch_depth,
     )
     record = RunRecord(query=query, backend=backend, window_size=window_size,

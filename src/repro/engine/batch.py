@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.model import StreamRecord
-
 
 def record_bytes(value: Any) -> int:
-    """Cheap per-record payload estimate for the ``max_batch_bytes`` knob."""
+    """Cheap per-record payload estimate (per-key-group load accounting)."""
     if hasattr(value, "payload_bytes"):
         return int(value.payload_bytes)
     if isinstance(value, (bytes, bytearray, str)):
@@ -79,16 +77,3 @@ class RecordBatch:
     def with_keys(self, keys: list[bytes]) -> "RecordBatch":
         """Same rows with the key column replaced (key_by)."""
         return RecordBatch(keys, self.values, self.timestamps, self.origins)
-
-    def record(self, i: int) -> StreamRecord:
-        """Materialize row ``i`` as a boxed record."""
-        return StreamRecord(self.keys[i], self.values[i], self.timestamps[i])
-
-    def iter_rows(self):
-        """Yield ``(StreamRecord, origin)`` pairs (per-record fallback)."""
-        keys = self.keys
-        values = self.values
-        timestamps = self.timestamps
-        origins = self.origins
-        for i in range(len(values)):
-            yield StreamRecord(keys[i], values[i], timestamps[i]), origins[i]

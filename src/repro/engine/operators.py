@@ -202,12 +202,14 @@ class WindowOperator:
                         self._arm_aligned_window(window)
                 else:
                     self._track_window_key(window, record.key)
-        if entries:
-            if self._prefetch_on:
-                self._hint_write_keys(entries)
-            self.backend.multi_append(entries)
         if self._prefetch_on:
+            # Hint before appending: a batch often ends at a watermark,
+            # so only the batch's own appends are left to hide the reads.
             self._hint_due_triggers()
+            if entries:
+                self._hint_write_keys(entries)
+        if entries:
+            self.backend.multi_append(entries)
 
     def _hint_write_keys(
         self, entries: list[tuple[bytes, Window, Any, float]]

@@ -15,7 +15,6 @@ Two layers:
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator
@@ -435,51 +434,6 @@ class WindowWriteBatch:
             self.commit()
         else:
             self.discard()
-
-
-def warn_per_tuple(operation: str) -> None:
-    """Emit the hot-path per-tuple deprecation warning.
-
-    Engine-side call sites must route state mutation through the batch
-    API (``multi_append`` / ``write_batch``), at batch size 1 where a
-    pattern genuinely needs per-record ordering.  Direct ``put``/
-    ``append`` calls outside backends and tests go through this shim so
-    stragglers surface as :class:`DeprecationWarning` without behavior
-    change.
-    """
-    warnings.warn(
-        f"direct per-tuple {operation}() on the hot path is deprecated; "
-        f"use multi_{operation}() or write_batch() (batch size 1 is "
-        f"charge-identical)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class PerTupleShim:
-    """Proxy that deprecation-warns on direct per-tuple mutation.
-
-    Wrap a store or backend whose callers have not migrated yet: every
-    attribute is forwarded unchanged, but ``put``/``append``/``delete``/
-    ``rmw_put`` first emit a :class:`DeprecationWarning` through
-    :func:`warn_per_tuple`.  The batched surface (``multi_*``,
-    ``write_batch``) passes through silently.
-    """
-
-    _WARNED = frozenset({"put", "append", "delete", "rmw_put"})
-
-    def __init__(self, target: Any) -> None:
-        object.__setattr__(self, "_target", target)
-
-    def __getattr__(self, name: str):
-        attr = getattr(object.__getattribute__(self, "_target"), name)
-        if name in self._WARNED and callable(attr):
-            def shimmed(*args, _attr=attr, _name=name, **kwargs):
-                warn_per_tuple(_name)
-                return _attr(*args, **kwargs)
-
-            return shimmed
-        return attr
 
 
 class KVStore(ABC):

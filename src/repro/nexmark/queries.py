@@ -317,8 +317,6 @@ def build_query(
     cost_scale: float = 1.0,
     faults: Any = None,
     cluster: Any = None,
-    batch_records: int = 1,
-    batch_bytes: int | None = None,
     prefetch_depth: int = 0,
 ) -> StreamEnvironment:
     """Construct a ready-to-execute environment for one query.
@@ -329,11 +327,8 @@ def build_query(
     ``window_size * SESSION_GAP_FRACTION``.  ``cluster`` (a
     :class:`repro.cluster.ClusterTopology`) spreads the physical
     instances over simulated machines with a network between them.
-    ``batch_records`` / ``batch_bytes`` size the columnar record batches
-    on the hot path (1 = exact per-tuple execution; simulated charges
-    are per-record identical at any size).  ``prefetch_depth`` enables
-    semantic state prefetching on the disk backends (0 = off,
-    bit-identical to a build without the subsystem).
+    ``prefetch_depth`` enables semantic state prefetching on the disk
+    backends (0 = off, bit-identical to a build without the subsystem).
     """
     key = name.lower()
     spec = QUERIES.get(key) or EXTRA_QUERIES.get(key)
@@ -345,7 +340,6 @@ def build_query(
     env = StreamEnvironment(
         parallelism=parallelism, backend_factory=backend_factory, workers=workers,
         cpu=cpu, ssd=ssd, faults=faults, cluster=cluster,
-        max_batch_records=batch_records, max_batch_bytes=batch_bytes,
         prefetch_depth=prefetch_depth,
     )
     source = env.from_source(generate_events(generator_config), name="nexmark")

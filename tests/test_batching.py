@@ -1,16 +1,21 @@
-"""Batched hot path: equivalence, boundary placement, and atomicity.
+"""Batched hot path: equivalence, boundary placement, mode selection,
+and atomicity.
 
-The batch API's contract (DESIGN.md, Batched hot path) has three legs:
+The batch API's contract (DESIGN.md, Engine batching) has four legs:
 
-1. **Charge parity** — a job run with any ``max_batch_records`` produces
-   the same sink outputs, the same per-category simulated CPU ledger,
-   and the same counters as the per-tuple run.  Batching buys real
-   wall-clock time only.
+1. **Charge parity** — a throughput-mode job run at any batch size
+   (``repro.engine.runtime.BATCH_RECORDS``, patched here; 1 is exact
+   per-tuple delivery and the reference) produces the same sink outputs,
+   the same per-category simulated CPU ledger, and the same counters as
+   the per-tuple run.  Batching buys real wall-clock time only.
 2. **Boundary invariance** — batch boundaries are an artifact of the
-   ingest loop (record limit, byte limit, watermark splits) and must
-   never show through: a watermark due mid-batch flushes the partial
-   batch first so timer firing order is identical.
-3. **Write-batch atomicity** — ``write_batch()`` stages ops and commits
+   ingest loop (record limit, watermark splits) and must never show
+   through: a watermark due mid-batch flushes the partial batch first so
+   timer firing order is identical.
+3. **Mode selection** — throughput mode batches by default; latency
+   mode, skew-controlled runs and ingest during an in-flight live
+   migration deliver one record per work unit.  These guards fail if selection silently degrades.
+4. **Write-batch atomicity** — ``write_batch()`` stages ops and commits
    them in one store call: nothing reaches the store before commit, an
    abandoned batch applies nothing, and a torn or failed device write
    during commit can never leave a partial prefix of the batch applied.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +37,12 @@ from repro.bench.profiles import TINY_PROFILE
 from repro.engine import StreamEnvironment, TumblingWindowAssigner
 from repro.engine.functions import CountAggregate, MaxProcessFunction
 from repro.engine.operators import WindowOperator
-from repro.errors import DiskIOError, PlanError, StoreError
+from repro.engine.runtime import Executor
+from repro.errors import DiskIOError, StoreError
 from repro.faults import CRASH_RUNTIME_RECORD, FaultPlan
 from repro.kvstores.hashkv import FasterConfig, FasterStore
 from repro.kvstores.lsm import LsmConfig, LsmStore
+from repro.rescale import SkewController
 from repro.simenv import SimEnv
 from repro.storage import SimFileSystem
 
@@ -45,7 +53,13 @@ FAULT_SEED = int(os.environ.get("FAULT_SEED", "7"))
 PROFILE = replace(TINY_PROFILE, heap_total_bytes=16 << 20)
 WINDOW = TINY_PROFILE.window_sizes[0]
 BACKENDS = ("memory", "flowkv", "rocksdb", "faster")
+PER_TUPLE = 1
 BATCH_SIZES = (7, 64, 10**9)
+
+
+def batch_records(n: int):
+    """Run throughput-mode ingest with ``n``-record batches."""
+    return mock.patch("repro.engine.runtime.BATCH_RECORDS", n)
 
 
 def fingerprint(record):
@@ -71,7 +85,8 @@ _BASELINES: dict[tuple[str, str], tuple] = {}
 def per_tuple_baseline(query: str, backend: str) -> tuple:
     key = (query, backend)
     if key not in _BASELINES:
-        _BASELINES[key] = fingerprint(run_query(PROFILE, query, backend, WINDOW))
+        with batch_records(PER_TUPLE):
+            _BASELINES[key] = fingerprint(run_query(PROFILE, query, backend, WINDOW))
     return _BASELINES[key]
 
 
@@ -82,7 +97,8 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     @pytest.mark.parametrize("query", ("q7", "q11"))
     def test_batched_run_matches_per_tuple(self, query, backend, batch):
-        batched = run_query(PROFILE, query, backend, WINDOW, batch_records=batch)
+        with batch_records(batch):
+            batched = run_query(PROFILE, query, backend, WINDOW)
         assert fingerprint(batched) == per_tuple_baseline(query, backend)
 
     @pytest.mark.parametrize(
@@ -92,48 +108,56 @@ class TestCrossBackendEquivalence:
         # Session merge, non-associative process, global window, count
         # trigger, interval join, two-stage pipeline: each exercises a
         # different operator batching rule (deferral vs per-record loop).
-        batched = run_query(PROFILE, query, "flowkv", WINDOW, batch_records=64)
+        batched = run_query(PROFILE, query, "flowkv", WINDOW)
         assert fingerprint(batched) == per_tuple_baseline(query, "flowkv")
-
-    def test_byte_limit_only_changes_nothing(self):
-        batched = run_query(
-            PROFILE, "q7", "flowkv", WINDOW, batch_records=10**9, batch_bytes=4096
-        )
-        assert fingerprint(batched) == per_tuple_baseline("q7", "flowkv")
 
     def test_latency_mode_ignores_batch_knob(self):
         # Open-loop (arrival_rate) runs are per-tuple by contract: the
-        # batch knob must be inert, including on the latency percentiles.
+        # batch size must be inert, including on the latency percentiles.
         kwargs = dict(
             arrival_rate=10.0,
             events_per_second=10.0,
             duration=PROFILE.latency_duration,
         )
-        base = run_query(PROFILE, "q7", "flowkv", PROFILE.latency_window, **kwargs)
-        batched = run_query(
-            PROFILE, "q7", "flowkv", PROFILE.latency_window,
-            batch_records=64, **kwargs,
-        )
+        with batch_records(PER_TUPLE):
+            base = run_query(PROFILE, "q7", "flowkv", PROFILE.latency_window, **kwargs)
+        batched = run_query(PROFILE, "q7", "flowkv", PROFILE.latency_window, **kwargs)
         assert fingerprint(batched) == fingerprint(base)
         assert batched.p95_latency == base.p95_latency
 
-    def test_batch_knob_is_validated(self):
-        with pytest.raises(PlanError):
-            StreamEnvironment(max_batch_records=0)
-        with pytest.raises(PlanError):
-            StreamEnvironment(max_batch_bytes=0)
+
+def _count_plan(n: int = 5000) -> StreamEnvironment:
+    env = StreamEnvironment(parallelism=2, backend_factory=memory_backend())
+    (
+        env.from_source([((f"k{i % 13}", i), float(i)) for i in range(n)])
+        .key_by(lambda v: v[0].encode())
+        .window(TumblingWindowAssigner(8.0))
+        .aggregate(CountAggregate())
+        .sink("counts")
+    )
+    return env
+
+
+class TestAbortedRunAccounting:
+    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    def test_sim_timeout_reports_records_ingested(self, batch):
+        # A run aborted by sim_timeout reports how far ingest got; the
+        # count must not depend on delivery batching (it used to read 0
+        # when the batched loop's return value was lost to the abort).
+        with batch_records(PER_TUPLE):
+            reference = _count_plan().execute(sim_timeout=1e-4)
+        with batch_records(batch):
+            batched = _count_plan().execute(sim_timeout=1e-4)
+        assert reference.failure == batched.failure == "timeout"
+        assert 0 < reference.input_records < 5000
+        assert batched.input_records == reference.input_records
 
 
 # ----------------------------------------------------------------------
 # Leg 2: boundary invariance
 # ----------------------------------------------------------------------
-def _two_stage_plan(batch: int, byte_limit: int | None = None) -> StreamEnvironment:
-    env = StreamEnvironment(
-        parallelism=2,
-        backend_factory=memory_backend(),
-        max_batch_records=batch,
-        max_batch_bytes=byte_limit,
-    )
+def _two_stage_plan() -> StreamEnvironment:
+    env = StreamEnvironment(parallelism=2, backend_factory=memory_backend())
     source = env.from_source([((f"k{i % 7}", i), float(i)) for i in range(80)])
     keyed = source.key_by(lambda v: v[0].encode())
     keyed.window(TumblingWindowAssigner(8.0)).aggregate(CountAggregate()).sink("counts")
@@ -158,20 +182,17 @@ class TestBatchBoundaryPlacement:
     @given(
         batch=st.integers(min_value=2, max_value=41),
         interval=st.integers(min_value=3, max_value=17),
-        byte_limit=st.one_of(st.none(), st.integers(min_value=64, max_value=2048)),
     )
     @settings(max_examples=20, deadline=None)
-    def test_any_boundary_placement_is_equivalent(self, batch, interval, byte_limit):
-        # Record limit, watermark interval, and byte limit jointly place
-        # the batch boundaries; none of the placements may show through.
-        # (record_bytes estimates ~64 B/record, so byte_limit=64..2048
-        # flushes every 1..32 records — including mid-watermark-interval.)
+    def test_any_boundary_placement_is_equivalent(self, batch, interval):
+        # Record limit and watermark interval jointly place the batch
+        # boundaries; none of the placements may show through.
         if interval not in _PROP_BASELINES:
-            result = _two_stage_plan(1).execute(watermark_interval=interval)
+            with batch_records(PER_TUPLE):
+                result = _two_stage_plan().execute(watermark_interval=interval)
             _PROP_BASELINES[interval] = _result_fingerprint(result)
-        batched = _two_stage_plan(batch, byte_limit).execute(
-            watermark_interval=interval
-        )
+        with batch_records(batch):
+            batched = _two_stage_plan().execute(watermark_interval=interval)
         assert _result_fingerprint(batched) == _PROP_BASELINES[interval]
 
 
@@ -205,10 +226,8 @@ class TestWatermarkMidBatch:
         monkeypatch.setattr(WindowOperator, "on_watermark", on_watermark)
 
     @staticmethod
-    def _plan(batch: int) -> StreamEnvironment:
-        env = StreamEnvironment(
-            parallelism=2, backend_factory=memory_backend(), max_batch_records=batch
-        )
+    def _plan() -> StreamEnvironment:
+        env = StreamEnvironment(parallelism=2, backend_factory=memory_backend())
         (
             env.from_source([((f"k{i % 5}", i), float(i)) for i in range(120)])
             .key_by(lambda v: v[0].encode())
@@ -225,10 +244,12 @@ class TestWatermarkMidBatch:
         # Interval 7 never divides batch 50: every watermark lands
         # mid-batch.  Timer firing order is pinned by the (watermark,
         # records-seen-so-far) trace per physical instance.
-        per_tuple = self._plan(1).execute(watermark_interval=7)
+        with batch_records(PER_TUPLE):
+            per_tuple = self._plan().execute(watermark_interval=7)
         trace = list(events)
         events.clear()
-        batched = self._plan(50).execute(watermark_interval=7)
+        with batch_records(50):
+            batched = self._plan().execute(watermark_interval=7)
 
         assert trace  # the instrumentation actually fired
         assert events == trace
@@ -244,7 +265,94 @@ class TestWatermarkMidBatch:
 
 
 # ----------------------------------------------------------------------
-# Leg 3: write-batch atomicity
+# Leg 3: mode selection (vacuity guards)
+# ----------------------------------------------------------------------
+class TestModeSelection:
+    @staticmethod
+    def _spy_batches(monkeypatch) -> list[int]:
+        """Record the size of every batch a window operator receives."""
+        sizes: list[int] = []
+        orig = WindowOperator.process_batch
+
+        def process_batch(self, records):
+            sizes.append(len(records))
+            orig(self, records)
+
+        monkeypatch.setattr(WindowOperator, "process_batch", process_batch)
+        return sizes
+
+    def test_throughput_mode_batches_by_default(self, monkeypatch):
+        sizes = self._spy_batches(monkeypatch)
+        record = run_query(PROFILE, "q7", "flowkv", WINDOW)
+        assert record.ok
+        assert max(sizes, default=0) > 1
+
+    def test_latency_mode_delivers_one_record_per_unit(self, monkeypatch):
+        sizes = self._spy_batches(monkeypatch)
+        singles: list[int] = []
+        orig_process = WindowOperator.process
+
+        def process(self, record):
+            singles.append(1)
+            orig_process(self, record)
+
+        monkeypatch.setattr(WindowOperator, "process", process)
+        record = run_query(
+            PROFILE, "q7", "flowkv", PROFILE.latency_window,
+            arrival_rate=10.0, events_per_second=10.0,
+            duration=PROFILE.latency_duration,
+        )
+        assert record.ok
+        assert singles  # records were delivered ...
+        assert sizes == []  # ... and never as a batch
+
+    def test_skew_controlled_run_is_per_record(self, monkeypatch):
+        # The controller places key-groups by per-group busy time, which
+        # only per-record units attribute exactly.
+        sizes = self._spy_batches(monkeypatch)
+        record = run_query(
+            PROFILE, "q7", "flowkv", WINDOW, parallelism=4,
+            generator_overrides={"bidder_zipf": 1.5},
+            rescale_policy=SkewController(
+                imbalance_threshold=1.5, patience=3, cooldown=10
+            ),
+        )
+        assert record.ok
+        assert any(e.reason == "skew-split" for e in record.rescales)
+        assert sizes == []
+
+    def test_live_rescale_ingest_is_per_record(self, monkeypatch):
+        # Batching resumes around the migration, but every record
+        # ingested while it is in flight goes through the per-record
+        # router, so the migration's intercept sees each one.
+        flushes: list[bool] = []
+        live_pushes: list[int] = []
+        orig_flush = Executor._flush_pending
+        orig_push = Executor._push
+
+        def flush(self, pending, arrival):
+            flushes.append(self.migration_active)
+            orig_flush(self, pending, arrival)
+
+        def push(self, node, record, arrival, origin=0):
+            if node.kind == "source" and self.migration_active:
+                live_pushes.append(1)
+            orig_push(self, node, record, arrival, origin)
+
+        monkeypatch.setattr(Executor, "_flush_pending", flush)
+        monkeypatch.setattr(Executor, "_push", push)
+        record = run_query(
+            PROFILE, "q7", "flowkv", WINDOW, parallelism=2,
+            rescale_schedule={1000: 4}, transfer_chunk_bytes=256,
+        )
+        assert record.ok
+        assert [e.mode for e in record.rescales] == ["live"]
+        assert live_pushes  # the migration overlapped ingest ...
+        assert flushes and not any(flushes)  # ... and nothing batched then
+
+
+# ----------------------------------------------------------------------
+# Leg 4: write-batch atomicity
 # ----------------------------------------------------------------------
 LSM_SMALL = LsmConfig(
     write_buffer_bytes=512,
@@ -350,7 +458,7 @@ class TestBatchedPathUnderFaults:
         plan = FaultPlan(seed=FAULT_SEED).crash(CRASH_RUNTIME_RECORD, on_hit=700)
         crashed = run_query(
             PROFILE, "q11-median", "flowkv", WINDOW,
-            fault_plan=plan, checkpoint_interval=300, batch_records=64,
+            fault_plan=plan, checkpoint_interval=300,
         )
         assert crashed.ok
         assert [e.kind for e in crashed.recoveries] == ["crash", "restore"]
@@ -368,12 +476,13 @@ class TestBatchedPathUnderFaults:
                 .fail_io(op="write", on_io=80, times=2)
             )
 
-        per_tuple = run_query(
-            PROFILE, "q11-median", "flowkv", WINDOW,
-            fault_plan=plan(), checkpoint_interval=300,
-        )
+        with batch_records(PER_TUPLE):
+            per_tuple = run_query(
+                PROFILE, "q11-median", "flowkv", WINDOW,
+                fault_plan=plan(), checkpoint_interval=300,
+            )
         batched = run_query(
             PROFILE, "q11-median", "flowkv", WINDOW,
-            fault_plan=plan(), checkpoint_interval=300, batch_records=64,
+            fault_plan=plan(), checkpoint_interval=300,
         )
         assert fingerprint(batched) == fingerprint(per_tuple)

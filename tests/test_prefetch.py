@@ -37,8 +37,7 @@ DISK_BACKENDS = ("rocksdb", "faster")
 
 
 def _run(query, backend, **kwargs):
-    record = run_query(TINY_PROFILE, query, backend, WINDOW_SIZE,
-                       batch_records=16, **kwargs)
+    record = run_query(TINY_PROFILE, query, backend, WINDOW_SIZE, **kwargs)
     assert record.ok, record.failure
     return record
 
@@ -343,7 +342,7 @@ class TestFaultTransparency:
             try:
                 record = run_query(
                     TINY_PROFILE, "q7", backend, WINDOW_SIZE,
-                    batch_records=16, prefetch_depth=depth, fault_plan=plan,
+                    prefetch_depth=depth, fault_plan=plan,
                 )
             except Exception as exc:  # deterministic decode failure
                 return ("raised", type(exc).__name__)
