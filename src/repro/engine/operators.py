@@ -162,46 +162,60 @@ class WindowOperator:
     def process_batch(self, records: list[StreamRecord]) -> None:
         """Batch entry point for the runtime's record batches.
 
-        Only the non-incremental, non-merging append path defers state
-        writes into one ``multi_append`` — count windows fire mid-tuple,
-        sessions merge state they may re-read, and incremental RMW reads
-        its own writes, so those stay strict per-record loops.  Charges
-        regroup by category (all engine, then all serde + store) but
-        per-category order matches the per-tuple loop exactly; no reads
-        happen between the deferred writes because triggers only run at
-        watermarks, and the runtime flushes batches before broadcasting.
+        Non-incremental aligned and session (merging) windows defer every
+        state write of the batch into one ``multi_append``: per record
+        they charge the function call, assign or resolve the window (a
+        session merges and registers its timer exactly as
+        :meth:`_process_session` does), and queue the append under the
+        window that holds the record's state.  Deferring is exact because
+        appends are never read back before a trigger, triggers only run
+        at watermarks, and the runtime flushes batches before
+        broadcasting one.  Charges regroup by category (all engine, then
+        all serde + store) but per-category order matches the per-tuple
+        loop exactly.
+
+        Two shapes stay strict per-record loops: incremental aggregates
+        (RMW reads its own previous write) and count windows (they fire
+        mid-batch, reading state the batch just wrote).
         """
-        if (
-            self.incremental
-            or self.assigner.merging
-            or isinstance(self.assigner, CountWindowAssigner)
-        ):
+        if self.incremental or isinstance(self.assigner, CountWindowAssigner):
             process = self.process
             for record in records:
                 process(record)
             return
         charge = self.env.charge_cpu
         function_call = self.env.cpu.function_call
-        branch_step = self.env.cpu.branch_step
-        assign = self.assigner.assign
-        aligned_reads = self.aligned_reads
-        pending = self._pending_aligned
         entries: list[tuple[bytes, Window, Any, float]] = []
-        for record in records:
-            charge(CAT_ENGINE, function_call)
-            if record.timestamp > self._max_timestamp:
-                self._max_timestamp = record.timestamp
-            for window in assign(record.timestamp):
-                charge(CAT_ENGINE, branch_step)
+        if self.assigner.merging:
+            resolve = self._resolve_session
+            for record in records:
+                charge(CAT_ENGINE, function_call)
+                if record.timestamp > self._max_timestamp:
+                    self._max_timestamp = record.timestamp
+                session = resolve(record.key, record.timestamp)
                 entries.append(
-                    (record.key, window, record.value, record.timestamp)
+                    (record.key, session.initials[0], record.value, record.timestamp)
                 )
-                if aligned_reads:
-                    if window not in pending:
-                        pending.add(window)
-                        self._arm_aligned_window(window)
-                else:
-                    self._track_window_key(window, record.key)
+        else:
+            branch_step = self.env.cpu.branch_step
+            assign = self.assigner.assign
+            aligned_reads = self.aligned_reads
+            pending = self._pending_aligned
+            for record in records:
+                charge(CAT_ENGINE, function_call)
+                if record.timestamp > self._max_timestamp:
+                    self._max_timestamp = record.timestamp
+                for window in assign(record.timestamp):
+                    charge(CAT_ENGINE, branch_step)
+                    entries.append(
+                        (record.key, window, record.value, record.timestamp)
+                    )
+                    if aligned_reads:
+                        if window not in pending:
+                            pending.add(window)
+                            self._arm_aligned_window(window)
+                    else:
+                        self._track_window_key(window, record.key)
         if self._prefetch_on:
             # Hint before appending: a batch often ends at a watermark,
             # so only the batch's own appends are left to hide the reads.
@@ -265,8 +279,25 @@ class WindowOperator:
         self._register_timer(window.end, ("aligned", window))
 
     def _process_session(self, record: StreamRecord) -> None:
-        raw = self.assigner.assign(record.timestamp)[0]
-        sessions = self._sessions.setdefault(record.key, [])
+        state_window = self._resolve_session(record.key, record.timestamp).initials[0]
+        if self.incremental:
+            self._rmw_add(record.key, state_window, record.value)
+        else:
+            self.backend.multi_append(
+                [(record.key, state_window, record.value, record.timestamp)]
+            )
+
+    def _resolve_session(self, key: bytes, timestamp: float) -> _Session:
+        """The session of ``key`` that a tuple at ``timestamp`` joins.
+
+        Extends the first intersecting session (absorbing any neighbour
+        the extension now bridges) or opens a new one, and registers the
+        session's trigger timer.  The tuple's state goes under the
+        returned session's ``initials[0]``: absorbing only appends to
+        ``initials``, so no later merge moves it.
+        """
+        raw = self.assigner.assign(timestamp)[0]
+        sessions = self._sessions.setdefault(key, [])
         self.env.charge_cpu(CAT_ENGINE, self.env.cpu.hash_probe)
         target: _Session | None = None
         for session in sessions:
@@ -283,13 +314,8 @@ class WindowOperator:
                 if other is not target and other.current.intersects(target.current):
                     target.absorb(other)
                     sessions.remove(other)
-        if self.incremental:
-            self._rmw_add(record.key, target.initials[0], record.value)
-        else:
-            self.backend.multi_append(
-                [(record.key, target.initials[0], record.value, record.timestamp)]
-            )
-        self._register_timer(target.current.end, ("session", record.key, target))
+        self._register_timer(target.current.end, ("session", key, target))
+        return target
 
     def _process_count(self, record: StreamRecord) -> None:
         assigner: CountWindowAssigner = self.assigner  # type: ignore[assignment]

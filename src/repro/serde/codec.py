@@ -15,8 +15,15 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 
 
+# Every value below 0x80 encodes to one byte; most lengths, counts and
+# deltas in the on-disk formats are that small.
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
+
 def encode_varint(value: int) -> bytes:
     """LEB128-encode a non-negative integer."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"varint must be non-negative: {value}")
     out = bytearray()
@@ -32,9 +39,15 @@ def encode_varint(value: int) -> bytes:
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a LEB128 varint; returns ``(value, next_offset)``."""
-    result = 0
-    shift = 0
-    pos = offset
+    try:
+        byte = data[offset]
+    except IndexError:
+        raise ValueError("truncated varint") from None
+    if byte < 0x80:
+        return byte, offset + 1
+    result = byte & 0x7F
+    shift = 7
+    pos = offset + 1
     while True:
         if pos >= len(data):
             raise ValueError("truncated varint")
@@ -55,7 +68,14 @@ def encode_bytes(payload: bytes) -> bytes:
 
 def decode_bytes(data: bytes, offset: int = 0) -> tuple[bytes, int]:
     """Decode a length-prefixed byte string; returns ``(payload, next_offset)``."""
-    length, pos = decode_varint(data, offset)
+    try:
+        length = data[offset]
+    except IndexError:
+        raise ValueError("truncated varint") from None
+    if length < 0x80:
+        pos = offset + 1
+    else:
+        length, pos = decode_varint(data, offset)
     end = pos + length
     if end > len(data):
         raise ValueError("truncated byte string")

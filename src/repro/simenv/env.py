@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from repro.simenv.clock import SimClock
 from repro.simenv.cpu import CpuCostModel
 from repro.simenv.disk import SsdCostModel
-from repro.simenv.metrics import CAT_NETWORK, CAT_PREFETCH, MetricsLedger
+from repro.simenv.metrics import (
+    CAT_NETWORK,
+    CAT_PREFETCH,
+    KNOWN_CATEGORIES,
+    MetricsLedger,
+    cpu_charge_error,
+)
 
 
 def scaled_cost_models(
@@ -80,15 +86,25 @@ class SimEnv:
         return self.clock.now
 
     def charge_cpu(self, category: str, seconds: float) -> None:
-        """Charge CPU time: advances the clock and books the category."""
+        """Charge CPU time: advances the clock and books the category.
+
+        The hottest call in every run, so it inlines
+        :meth:`SimClock.advance` and :meth:`MetricsLedger.add_cpu`: the
+        same checks come first, before anything mutates, then the same
+        two float additions in the same order (clock, then bucket).
+        """
+        if seconds < 0 or category not in KNOWN_CATEGORIES:
+            raise cpu_charge_error(category, seconds)
         if seconds == 0.0:
             return
-        if self._prefetch_capture is not None:
-            self._prefetch_capture[0] += seconds
-            self.ledger.add_cpu(CAT_PREFETCH, seconds)
+        buckets = self.ledger.cpu_seconds
+        capture = self._prefetch_capture
+        if capture is not None:
+            capture[0] += seconds
+            buckets[CAT_PREFETCH] = buckets.get(CAT_PREFETCH, 0.0) + seconds
             return
-        self.clock.advance(seconds)
-        self.ledger.add_cpu(category, seconds)
+        self.clock._now += seconds
+        buckets[category] = buckets.get(category, 0.0) + seconds
 
     def charge_read(self, n_bytes: int, n_requests: int = 1) -> None:
         """Charge a device read: clock advances by the device time."""

@@ -43,7 +43,15 @@ CPU_CATEGORIES = (
 
 # Charge-time validation set: a typo'd category must fail loudly instead
 # of silently accumulating in a bucket no report ever reads.
-_KNOWN_CATEGORIES = frozenset(CPU_CATEGORIES)
+KNOWN_CATEGORIES = frozenset(CPU_CATEGORIES)
+
+
+def cpu_charge_error(category: str, seconds: float) -> ValueError:
+    """The error for a rejected CPU charge: negative, or of an unknown
+    category (checked in that order)."""
+    if seconds < 0:
+        return ValueError(f"negative CPU charge: {seconds}")
+    return ValueError(f"unknown CPU category {category!r}; one of {CPU_CATEGORIES}")
 
 
 @dataclass
@@ -107,12 +115,8 @@ class MetricsLedger:
     prefetch_wait_seconds: float = 0.0
 
     def add_cpu(self, category: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative CPU charge: {seconds}")
-        if category not in _KNOWN_CATEGORIES:
-            raise ValueError(
-                f"unknown CPU category {category!r}; one of {CPU_CATEGORIES}"
-            )
+        if seconds < 0 or category not in KNOWN_CATEGORIES:
+            raise cpu_charge_error(category, seconds)
         self.cpu_seconds[category] = self.cpu_seconds.get(category, 0.0) + seconds
 
     def add_read(self, n_bytes: int, seconds: float, n_requests: int = 1) -> None:

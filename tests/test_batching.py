@@ -34,14 +34,17 @@ from hypothesis import strategies as st
 from repro.backends import memory_backend
 from repro.bench.harness import output_digest, run_query
 from repro.bench.profiles import TINY_PROFILE
+from repro.core.composite import FlowKVComposite
 from repro.engine import StreamEnvironment, TumblingWindowAssigner
 from repro.engine.functions import CountAggregate, MaxProcessFunction
 from repro.engine.operators import WindowOperator
 from repro.engine.runtime import Executor
+from repro.engine.state import GenericKVBackend
 from repro.errors import DiskIOError, StoreError
 from repro.faults import CRASH_RUNTIME_RECORD, FaultPlan
 from repro.kvstores.hashkv import FasterConfig, FasterStore
 from repro.kvstores.lsm import LsmConfig, LsmStore
+from repro.kvstores.memory import HeapWindowBackend
 from repro.rescale import SkewController
 from repro.simenv import SimEnv
 from repro.storage import SimFileSystem
@@ -55,6 +58,10 @@ WINDOW = TINY_PROFILE.window_sizes[0]
 BACKENDS = ("memory", "flowkv", "rocksdb", "faster")
 PER_TUPLE = 1
 BATCH_SIZES = (7, 64, 10**9)
+# Non-incremental session (merging) shapes: AUR list state per session.
+SESSION_SHAPES = ("q11-median", "q7-session")
+# The engine-facing state backend class each backend name builds.
+BACKEND_CLASSES = (FlowKVComposite, GenericKVBackend, HeapWindowBackend)
 
 
 def batch_records(n: int):
@@ -95,19 +102,19 @@ class TestCrossBackendEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch", BATCH_SIZES)
-    @pytest.mark.parametrize("query", ("q7", "q11"))
+    @pytest.mark.parametrize("query", ("q7", "q11", *SESSION_SHAPES))
     def test_batched_run_matches_per_tuple(self, query, backend, batch):
+        # Aligned AAR, session RMW, and the session AUR shapes, whose
+        # batches resolve merges per record but defer every append.
         with batch_records(batch):
             batched = run_query(PROFILE, query, backend, WINDOW)
         assert fingerprint(batched) == per_tuple_baseline(query, backend)
 
-    @pytest.mark.parametrize(
-        "query", ("q7-session", "q11-median", "q12", "q6-count", "q8-interval", "q5")
-    )
+    @pytest.mark.parametrize("query", ("q12", "q6-count", "q8-interval", "q5"))
     def test_every_operator_shape_agrees(self, query):
-        # Session merge, non-associative process, global window, count
-        # trigger, interval join, two-stage pipeline: each exercises a
-        # different operator batching rule (deferral vs per-record loop).
+        # Global window, count trigger, interval join, two-stage
+        # pipeline: each exercises a different operator batching rule
+        # (deferral vs per-record loop).
         batched = run_query(PROFILE, query, "flowkv", WINDOW)
         assert fingerprint(batched) == per_tuple_baseline(query, "flowkv")
 
@@ -286,6 +293,31 @@ class TestModeSelection:
         record = run_query(PROFILE, "q7", "flowkv", WINDOW)
         assert record.ok
         assert max(sizes, default=0) > 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("query", SESSION_SHAPES)
+    def test_session_batch_is_one_backend_append(self, monkeypatch, query, backend):
+        # One multi_append per batch, one row per record: guards the
+        # session parity pins above against a silent per-record fallback,
+        # under which they would pass vacuously.
+        calls: list[list[int]] = []  # per batch: [records, *append sizes]
+        orig_batch = WindowOperator.process_batch
+
+        def process_batch(self, records):
+            calls.append([len(records)])
+            orig_batch(self, records)
+
+        monkeypatch.setattr(WindowOperator, "process_batch", process_batch)
+        for cls in BACKEND_CLASSES:
+            def multi_append(self, entries, _orig=cls.multi_append):
+                calls[-1].append(len(entries))
+                _orig(self, entries)
+
+            monkeypatch.setattr(cls, "multi_append", multi_append)
+        record = run_query(PROFILE, query, backend, WINDOW)
+        assert record.ok
+        assert max(n for n, *_ in calls) > 1
+        assert all(appends == [n] for n, *appends in calls)
 
     def test_latency_mode_delivers_one_record_per_unit(self, monkeypatch):
         sizes = self._spy_batches(monkeypatch)

@@ -281,7 +281,7 @@ class TestDepthZeroIdentity:
 # overlap wins without output drift
 # ----------------------------------------------------------------------
 class TestPrefetchOverlap:
-    @pytest.mark.parametrize("query", ("q7", "q8"))
+    @pytest.mark.parametrize("query", ("q7", "q8", "q11-median"))
     @pytest.mark.parametrize("backend", DISK_BACKENDS)
     def test_digest_stable_and_io_wait_never_worse(self, query, backend):
         base = _run(query, backend, prefetch_depth=0)

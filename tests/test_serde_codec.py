@@ -20,6 +20,17 @@ from repro.serde.codec import (
 )
 
 
+def reference_leb128(value: int) -> bytes:
+    """Plain unsigned LEB128, byte by byte, for differential checks."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        out.append(byte | (0x80 if value else 0))
+        if not value:
+            return bytes(out)
+
+
 class TestVarint:
     @pytest.mark.parametrize("value,expected", [
         (0, b"\x00"),
@@ -27,9 +38,12 @@ class TestVarint:
         (127, b"\x7f"),
         (128, b"\x80\x01"),
         (300, b"\xac\x02"),
+        (2**63 - 1, b"\xff" * 8 + b"\x7f"),
     ])
     def test_known_encodings(self, value, expected):
+        # 0, 127 and 128 bracket the single-byte fast paths.
         assert encode_varint(value) == expected
+        assert decode_varint(expected) == (value, len(expected))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -40,8 +54,10 @@ class TestVarint:
             decode_varint(b"\x80")
 
     def test_overlong_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="too long"):
             decode_varint(b"\xff" * 11)
+        with pytest.raises(ValueError, match="too long"):
+            decode_bytes(b"\x80" * 10 + b"\x01")
 
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_round_trip(self, value):
@@ -58,10 +74,37 @@ class TestVarint:
         assert pos == len(data)
 
 
+    def test_truncated_at_end_of_data_raises(self):
+        for data in (b"", b"\x05", b"\x05\x80\x01"):
+            with pytest.raises(ValueError, match="truncated varint"):
+                decode_varint(data, len(data))
+            with pytest.raises(ValueError, match="truncated varint"):
+                decode_bytes(data, len(data))
+
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=0x80),
+            st.integers(min_value=0, max_value=2**63 - 1),
+        ),
+        st.binary(max_size=8),
+    )
+    def test_matches_reference_leb128(self, value, prefix):
+        encoded = encode_varint(value)
+        assert encoded == reference_leb128(value)
+        data = prefix + encoded
+        assert decode_varint(data, len(prefix)) == (value, len(data))
+
+
 class TestBytes:
     def test_empty(self):
         encoded = encode_bytes(b"")
         assert decode_bytes(encoded) == (b"", len(encoded))
+
+    @pytest.mark.parametrize("length", [0, 0x7F, 0x80])
+    def test_length_prefix_fast_path_boundaries(self, length):
+        payload = bytes(range(length))
+        data = b"\xaa" + encode_bytes(payload)
+        assert decode_bytes(data, 1) == (payload, len(data))
 
     def test_truncated_raises(self):
         encoded = encode_bytes(b"hello")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.simenv import (
     CAT_COMPACTION,
+    CAT_PREFETCH,
     CAT_QUERY,
     CAT_STORE_READ,
     CAT_STORE_WRITE,
@@ -191,6 +192,63 @@ class TestSimEnv:
         env = SimEnv()
         env.charge_cpu(CAT_QUERY, 0.0)
         assert env.now == 0.0
+
+    @pytest.mark.parametrize("category,seconds", [("qeury", 0.5), (CAT_QUERY, -0.5)])
+    def test_rejected_charge_changes_nothing(self, category, seconds):
+        env = SimEnv()
+        env.charge_cpu(CAT_STORE_READ, 0.125)
+        before = dict(env.ledger.cpu_seconds)
+        with pytest.raises(ValueError):
+            env.charge_cpu(category, seconds)
+        assert env.now == 0.125
+        assert env.ledger.cpu_seconds == before
+
+    def test_rejected_charge_under_prefetch_capture_changes_nothing(self):
+        # A typo'd category must not be booked to ``prefetch`` silently.
+        env = SimEnv()
+        with env.prefetch_capture() as box:
+            with pytest.raises(ValueError):
+                env.charge_cpu("qeury", 0.5)
+            assert box == [0.0]
+        assert env.now == 0.0
+        assert env.ledger.cpu_seconds[CAT_PREFETCH] == 0.0
+
+    def test_capture_books_prefetch_without_moving_clock(self):
+        env = SimEnv()
+        with env.prefetch_capture() as box:
+            env.charge_cpu(CAT_QUERY, 0.5)
+        assert box == [0.5]
+        assert env.now == 0.0
+        assert env.ledger.cpu_seconds[CAT_PREFETCH] == 0.5
+        assert env.ledger.cpu_seconds[CAT_QUERY] == 0.0
+
+    def test_valid_charge_bypasses_clock_and_ledger_methods(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("charge_cpu must not call back into it")
+
+        monkeypatch.setattr(SimClock, "advance", forbidden)
+        monkeypatch.setattr(MetricsLedger, "add_cpu", forbidden)
+        env = SimEnv()
+        env.charge_cpu(CAT_QUERY, 0.25)
+        with env.prefetch_capture():
+            env.charge_cpu(CAT_QUERY, 0.5)
+        assert env.now == 0.25
+        assert env.ledger.cpu_seconds[CAT_QUERY] == 0.25
+        assert env.ledger.cpu_seconds[CAT_PREFETCH] == 0.5
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(CPU_CATEGORIES),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+    )))
+    def test_charges_bit_equal_to_clock_and_ledger_methods(self, charges):
+        env = SimEnv()
+        clock, ledger = SimClock(), MetricsLedger()
+        for category, seconds in charges:
+            env.charge_cpu(category, seconds)
+            clock.advance(seconds)
+            ledger.add_cpu(category, seconds)
+        assert env.now == clock.now
+        assert env.ledger.cpu_seconds == ledger.cpu_seconds
 
     def test_charge_read_uses_ssd_model(self):
         env = SimEnv()
