@@ -2,10 +2,12 @@
 
 CI runs every registered figure (``python -m repro.bench all``) which
 writes per-figure real wall-clock times (``elapsed_seconds``) into
-``BENCH_summary.json``.  This tool compares that document against the
-committed baseline (``benchmarks/bench_baseline.json``) and exits
-non-zero when a figure regressed by more than the threshold (default
-25%).
+``BENCH_summary.json``.  This tool takes one or more such documents,
+keeps each figure's minimum time over them (one slow sample on a loaded
+host does not fail the gate; a figure slow in every run does), compares
+that against the committed baseline (``benchmarks/bench_baseline.json``)
+and exits non-zero when a figure regressed by more than the threshold
+(default 25%).
 
 CI machines differ in absolute speed, so by default ratios are
 **normalized**: each figure's current/baseline ratio is divided by the
@@ -16,10 +18,10 @@ same machine that produced the baseline.
 
 Usage::
 
-    python -m repro.bench.smoke BENCH_summary.json
+    python -m repro.bench.smoke BENCH_summary.json [MORE_SUMMARIES.json ...]
     python -m repro.bench.smoke BENCH_summary.json --baseline PATH
     python -m repro.bench.smoke BENCH_summary.json --threshold 0.25
-    python -m repro.bench.smoke BENCH_summary.json --update   # rewrite baseline
+    python -m repro.bench.smoke A.json B.json --update   # rewrite baseline (min of N)
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ def elapsed_by_figure(summary: dict[str, Any]) -> dict[str, float]:
         elapsed = figure.get("elapsed_seconds")
         if isinstance(elapsed, (int, float)) and elapsed > 0:
             out[name] = float(elapsed)
+    return out
+
+
+def min_elapsed(runs: list[dict[str, float]]) -> dict[str, float]:
+    """Per-figure minimum over several runs' ``figure -> seconds`` maps."""
+    out: dict[str, float] = {}
+    for run in runs:
+        for name, secs in run.items():
+            out[name] = min(secs, out.get(name, secs))
     return out
 
 
@@ -104,15 +115,22 @@ def main(argv: list[str]) -> int:
     threshold = float(take_option("--threshold") or DEFAULT_THRESHOLD)
     absolute = "--absolute" in argv and (argv.remove("--absolute") or True)
     update = "--update" in argv and (argv.remove("--update") or True)
-    if len(argv) != 1:
+    if not argv:
         print(__doc__.strip().splitlines()[-4].strip())
         return 2
-    with open(argv[0], encoding="utf-8") as handle:
-        summary = json.load(handle)
-    current = elapsed_by_figure(summary)
+    summaries = []
+    for path in argv:
+        with open(path, encoding="utf-8") as handle:
+            summaries.append(json.load(handle))
+    profiles = {summary.get("profile") for summary in summaries}
+    if len(profiles) != 1:
+        print(f"summaries mix profiles {sorted(map(str, profiles))} — not comparable")
+        return 2
+    (profile,) = profiles
+    current = min_elapsed([elapsed_by_figure(summary) for summary in summaries])
     if update:
         payload = {
-            "profile": summary.get("profile", "unknown"),
+            "profile": profile or "unknown",
             "threshold": threshold,
             "figures": {name: round(secs, 3) for name, secs in sorted(current.items())},
         }
@@ -128,12 +146,12 @@ def main(argv: list[str]) -> int:
         for name, secs in baseline_doc.get("figures", {}).items()
         if isinstance(secs, (int, float)) and secs > 0
     }
-    if summary.get("profile") != baseline_doc.get("profile"):
-        print(f"profile mismatch: run={summary.get('profile')} "
+    if profile != baseline_doc.get("profile"):
+        print(f"profile mismatch: run={profile} "
               f"baseline={baseline_doc.get('profile')} — not comparable")
         return 2
     failures, report = compare(current, baseline, threshold, absolute)
-    print(f"bench-smoke vs {baseline_path} "
+    print(f"bench-smoke: min of {len(summaries)} run(s) vs {baseline_path} "
           f"(threshold +{threshold:.0%}, "
           f"{'absolute' if absolute else 'machine-normalized'}):")
     for line in report:

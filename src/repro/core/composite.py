@@ -129,11 +129,10 @@ class FlowKVComposite(WindowStateBackend):
     # decorrelated (every store gets an even share of each range) — and
     # because the store index depends only on the key-group, a migrated
     # key-group lands in the same store slot on its new owner.
-    def _key_group(self, key: bytes) -> int:
-        return key_group_of(key, self._config.max_key_groups)
-
     def _route(self, key: bytes) -> Any:
-        return self._instances[self._key_group(key) % len(self._instances)]
+        return self._instances[
+            key_group_of(key, self._config.max_key_groups) % len(self._instances)
+        ]
 
     def _encode(self, obj: Any) -> bytes:
         data = self._serde.serialize(obj)
@@ -182,14 +181,14 @@ class FlowKVComposite(WindowStateBackend):
         log_append = self._dirty.log_append
         instances = self._instances
         m = len(instances)
-        key_group = self._key_group
+        max_groups = self._config.max_key_groups
         slot_of: dict[bytes, int] = {}
         for key, window, value, timestamp in entries:
             data = encode(value)
             log_append(key, window, kind, (data,))
             slot = slot_of.get(key)
             if slot is None:
-                slot = slot_of[key] = key_group(key) % m
+                slot = slot_of[key] = key_group_of(key, max_groups) % m
             store = instances[slot]
             if is_aar:
                 store.append(key, data, window)
@@ -325,7 +324,7 @@ class FlowKVComposite(WindowStateBackend):
         per_instance: dict[int, StateExport] = {}
         for entry in export.entries:
             self._dirty.log_merge(entry.key, entry.window, entry.kind, entry.values)
-            index = self._key_group(entry.key) % m
+            index = key_group_of(entry.key, self._config.max_key_groups) % m
             per_instance.setdefault(index, StateExport()).entries.append(entry)
         for index, part in per_instance.items():
             self._instances[index].import_state(part)

@@ -36,8 +36,8 @@ class RecordBatch:
 
     ``origins[i]`` is the cluster node record ``i`` currently lives on
     (its ingest node, or the node of the instance that emitted it) —
-    the same routing input the per-tuple path threads through
-    ``Executor._handle``.
+    the same routing input the per-record router threads through its
+    delivery closures (``Executor._compile_node``).
     """
 
     __slots__ = ("keys", "values", "timestamps", "origins")

@@ -309,11 +309,13 @@ class WindowOperator:
             sessions.append(target)
         else:
             target.current = target.current.cover(raw)
-            # Extension may bridge into a neighbouring session.
-            for other in list(sessions):
-                if other is not target and other.current.intersects(target.current):
-                    target.absorb(other)
-                    sessions.remove(other)
+            # Extension may bridge into a neighbouring session (a lone
+            # session has none, so skip the copy for the scan).
+            if len(sessions) > 1:
+                for other in list(sessions):
+                    if other is not target and other.current.intersects(target.current):
+                        target.absorb(other)
+                        sessions.remove(other)
         self._register_timer(target.current.end, ("session", key, target))
         return target
 
@@ -336,14 +338,15 @@ class WindowOperator:
 
     def _rmw_add(self, key: bytes, window: Window, value: Any) -> None:
         # Read-modify-write is irreducibly per-record (each update reads
-        # its own previous write) — size-1 batch calls keep the hot path
-        # on the batch API without changing any charge.
-        accumulator = self.backend.multi_get([(key, window)])[0]
+        # its own previous write), so it calls the backend's per-record
+        # RMW pair directly.
+        backend = self.backend
+        accumulator = backend.rmw_get(key, window)
         if accumulator is None:
             accumulator = self.function.create_accumulator()
         self.env.charge_cpu(CAT_QUERY, self.env.cpu.function_call)
         accumulator = self.function.add(value, accumulator)
-        self.backend.apply_write_batch([("rmw_put", key, window, accumulator)])
+        backend.rmw_put(key, window, accumulator)
 
     # ------------------------------------------------------------------
     # trigger path

@@ -20,7 +20,13 @@ Execution model (documented in DESIGN.md):
   columnar batches of :data:`BATCH_RECORDS`; latency mode, runs under a
   :class:`~repro.rescale.skew.SkewController` and an in-flight live
   migration deliver one record per work unit.  The simulated ledger
-  charges per record either way.
+  charges per record either way;
+* the per-record router is compiled once per executor into one delivery
+  closure per logical node, each calling its children's closures
+  directly.  Closures capture only what the plan fixes; state that
+  recovery or rescale replaces (sinks, latencies, the owner table, the
+  instance lists, the live migration, the load tracker) is read from
+  the executor at call time.
 
 Failure modes surface as typed exceptions: :class:`StoreOOMError` (heap
 backend), :class:`SimTimeoutError` (simulated-time budget exceeded) and
@@ -57,6 +63,18 @@ BATCH_RECORDS = 64
 
 class EngineOverloadError(ReproError):
     """The arrival rate exceeds sustainable throughput (backlog diverged)."""
+
+
+def _fan_out(targets: list):
+    """One delivery callable that feeds every closure in ``targets``."""
+    if len(targets) == 1:
+        return targets[0]
+
+    def fan_out(key, value, timestamp, arrival, origin):
+        for deliver in targets:
+            deliver(key, value, timestamp, arrival, origin)
+
+    return fan_out
 
 
 @dataclass
@@ -155,6 +173,7 @@ class Executor:
         # Set by ChangelogReplication.bind(); feeds promote-mode rescales.
         self._replication: Any = None
         self._build_instances()
+        self._compile_router()
 
     @property
     def migration_active(self) -> bool:
@@ -362,6 +381,11 @@ class Executor:
             failure = "timeout"
         except EngineOverloadError:
             failure = "overload"
+        finally:
+            # The router's closures refer back to the executor: dropping
+            # them once the run ends (or crashes) lets reference counting
+            # free the executor and its stores, not the cycle collector.
+            self._emit.clear()
         return self._result(count, failure)
 
     def _flush_pending(
@@ -614,80 +638,120 @@ class Executor:
                 heapq.heappush(heap, (nts, idx, nvalue, node, iterator))
 
     # ------------------------------------------------------------------
-    def _push(
-        self, node: LogicalNode, record: StreamRecord, arrival: float, origin: int = 0
-    ) -> None:
-        for child in self._children.get(node.node_id, []):
-            self._handle(child, record, arrival, origin)
+    # per-record router: one delivery closure per logical node taking
+    # ``(key, value, timestamp, arrival, origin)``.  Closures read what
+    # recovery or rescale replaces from ``self`` at call time.
+    # ------------------------------------------------------------------
+    def _compile_router(self) -> None:
+        # Plan nodes are created parents first, so reversed order compiles
+        # every child before its parents.
+        deliver: dict[int, Any] = {}
+        self._emit: dict[int, Any] = {}  # node id -> delivery to its children
+        for node in reversed(self._plan.nodes()):
+            children = self._children.get(node.node_id, [])
+            emit = _fan_out([deliver[child.node_id] for child in children])
+            self._emit[node.node_id] = emit
+            if node.kind != "source":
+                deliver[node.node_id] = self._compile_node(node, emit)
 
-    def _handle(
-        self, node: LogicalNode, record: StreamRecord, arrival: float, origin: int = 0
-    ) -> None:
-        """Process one record at ``node``.
+    def _compile_node(self, node: LogicalNode, emit):
+        """The delivery closure of one node; ``emit`` feeds its children.
 
-        ``origin`` is the cluster node the record currently lives on
-        (its ingest node, or the node of the instance that emitted it);
+        ``origin`` is the cluster node the record currently lives on (its
+        ingest node, or the node of the instance that emitted it);
         stateless transforms run where the record already is, so only the
         keyed hand-off to a stateful instance can cross the network.
         """
         kind = node.kind
+        fn = node.params.get("fn")
         if kind == "map":
-            out = StreamRecord(record.key, node.params["fn"](record.value), record.timestamp)
-            self._push(node, out, arrival, origin)
+            def deliver(key, value, timestamp, arrival, origin):
+                emit(key, fn(value), timestamp, arrival, origin)
         elif kind == "filter":
-            if node.params["fn"](record.value):
-                self._push(node, record, arrival, origin)
+            def deliver(key, value, timestamp, arrival, origin):
+                if fn(value):
+                    emit(key, value, timestamp, arrival, origin)
         elif kind == "flat_map":
-            for value in node.params["fn"](record.value):
-                self._push(
-                    node, StreamRecord(record.key, value, record.timestamp),
-                    arrival, origin,
-                )
+            def deliver(key, value, timestamp, arrival, origin):
+                for out in fn(value):
+                    emit(key, out, timestamp, arrival, origin)
         elif kind == "key_by":
-            key = node.params["fn"](record.value)
-            if not isinstance(key, bytes):
-                raise PlanError(f"key_by {node.name} must return bytes, got {type(key)}")
-            self._push(node, StreamRecord(key, record.value, record.timestamp), arrival, origin)
+            def deliver(_key, value, timestamp, arrival, origin):
+                key = fn(value)
+                if not isinstance(key, bytes):
+                    raise PlanError(f"key_by {node.name} must return bytes, got {type(key)}")
+                emit(key, value, timestamp, arrival, origin)
         elif kind == "union":
-            self._push(node, record, arrival, origin)
+            deliver = emit
+        elif kind == "sink":
+            name = node.name
+
+            def deliver(key, value, timestamp, arrival, origin):
+                self._sinks[name].append(value)
+                self._latencies.append(max(0.0, arrival - timestamp))
         elif kind in ("window", "interval_join"):
-            if self._live is not None and self._live.intercept(node, record, arrival):
+            deliver = self._compile_keyed(node, emit)
+        else:  # pragma: no cover - sources have no inbound records
+            raise PlanError(f"cannot handle node kind {kind}")
+        return deliver
+
+    def _compile_keyed(self, node: LogicalNode, emit):
+        """Route one record to its owning instance as one work unit.
+
+        The unit accounting is :meth:`_run_unit`'s, inline: the same float
+        operations in the same order, so the simulated results match.
+        """
+        node_id = node.node_id
+        max_groups = self._plan.max_key_groups
+        cluster = self._plan.cluster
+        label = f"net/shuffle/{node.name}"
+
+        def deliver(key, value, timestamp, arrival, origin):
+            record = StreamRecord(key, value, timestamp)
+            live = self._live
+            if live is not None and live.intercept(node, record, arrival):
                 return  # buffered: replays at the new owner on cutover
-            group = key_group_of(record.key, self._plan.max_key_groups)
+            group = key_group_of(key, max_groups)
             inst_index = self.group_owner[group]
-            instance = self._instances[node.node_id][inst_index]
-            cluster = self._plan.cluster
-            if cluster is not None and origin != instance.cluster_node:
+            instance = self._instances[node_id][inst_index]
+            host = instance.cluster_node
+            clock = instance.env.clock
+            start = clock.now
+            if cluster is not None and origin != host:
                 # Cross-node shuffle hop: the receive wait occupies the
                 # destination instance (charged inside its service time).
                 # Shuffle channels stay open and pipelined, so a record
                 # pays wire bandwidth only (n_requests=0): per-record
                 # round-trip latency would serialize throughput in a way
                 # no streaming shuffle does.
-                wire_bytes = cluster.network.record_overhead_bytes + len(record.key)
-
-                def thunk(inst=instance, rec=record, org=origin, wire=wire_bytes):
-                    charge_link(
-                        inst.env, cluster.network, org, inst.cluster_node, wire,
-                        f"net/shuffle/{node.name}", self._plan.faults,
-                        n_requests=0,
-                    )
-                    inst.operator.process(rec)
-
-                service = self._run_unit(node, instance, arrival, thunk)
-            else:
-                service = self._run_unit(
-                    node, instance, arrival, lambda: instance.operator.process(record)
+                charge_link(
+                    instance.env, cluster.network, origin, host,
+                    cluster.network.record_overhead_bytes + len(key),
+                    label, self._plan.faults, n_requests=0,
                 )
+            instance.operator.process(record)
+            service = clock.now - start
+            completion = max(arrival, instance.wall_available) + service
+            instance.wall_available = completion
+            outbox = instance.outbox
+            if outbox:
+                emitted = list(outbox)
+                outbox.clear()
+                for out in emitted:
+                    emit(out.key, out.value, out.timestamp, completion, host)
             self.load_tracker.record(
-                group, inst_index, instance.cluster_node,
-                1, len(record.key) + record_bytes(record.value), service,
+                group, inst_index, host, 1, len(key) + record_bytes(value), service,
             )
-        elif kind == "sink":
-            self._sinks[node.name].append(record.value)
-            self._latencies.append(max(0.0, arrival - record.timestamp))
-        else:  # pragma: no cover - source has no inbound records
-            raise PlanError(f"cannot handle node kind {kind}")
+
+        return deliver
+
+    def _push(
+        self, node: LogicalNode, record: StreamRecord, arrival: float, origin: int = 0
+    ) -> None:
+        """Deliver one record emitted by ``node`` to its children."""
+        self._emit[node.node_id](
+            record.key, record.value, record.timestamp, arrival, origin
+        )
 
     # ------------------------------------------------------------------
     # batched hot path: columnar batches flow through stateless

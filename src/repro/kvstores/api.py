@@ -40,17 +40,19 @@ KIND_JOIN_RIGHT = "joinR"  # interval-join right side buffer
 #   (``dirty_groups()``/``export_group_state()``) so checkpoints can write
 #   deltas and changelog replication can tail its mutations.
 # * ``CAP_BATCH`` — the backend *natively* implements the batched hot-path
-#   surface (``multi_get``/``multi_append``/``write_batch``) with one
-#   amortized call per batch.  Every backend still accepts the batch API —
-#   the base classes provide loop-over-per-tuple defaults — so CAP_BATCH
-#   is a performance statement, not a correctness gate: callers may use
-#   it to pick batch sizes, never to refuse service.  Batched calls must
-#   charge the simulated ledger identically to the per-tuple loop they
-#   replace (charge parity is what keeps batch size a pure real-time knob).
+#   surface with one amortized call per batch: ``multi_append`` on a
+#   :class:`WindowStateBackend`; ``multi_get``/``multi_append``/
+#   ``write_batch`` on a :class:`KVStore`.  Every backend still accepts
+#   the batch API — the base classes provide loop-over-per-tuple
+#   defaults — so CAP_BATCH is a performance statement, not a
+#   correctness gate: callers may use it to pick batch sizes, never to
+#   refuse service.  Batched calls must charge the simulated ledger
+#   identically to the per-tuple loop they replace (charge parity is
+#   what keeps batch size a pure real-time knob).
 CAP_SNAPSHOT = "snapshot"  # snapshot() / restore() — checkpointing
 CAP_RESCALE = "rescale"  # export_state() / import_state() — key-group migration
 CAP_INCREMENTAL = "incremental"  # dirty_groups() / export_group_state() — delta checkpoints
-CAP_BATCH = "batch"  # native multi_get() / multi_append() / write_batch()
+CAP_BATCH = "batch"  # native multi_append() (+ KV multi_get() / write_batch())
 
 # Default per-chunk byte budget of a live state transfer.
 DEFAULT_CHUNK_BYTES = 64 << 10
@@ -384,58 +386,6 @@ class WriteBatch:
             self.discard()
 
 
-class WindowWriteBatch:
-    """Accumulate-then-commit batch for a :class:`WindowStateBackend`.
-
-    Same contract as :class:`WriteBatch`, with window-state ops:
-    ``append(key, window, value, timestamp)``, ``rmw_put`` and
-    ``rmw_remove``.  Commit hands the ordered op list to the backend's
-    ``apply_write_batch``; the default implementation funnels append runs
-    through :meth:`WindowStateBackend.multi_append` so even non-CAP_BATCH
-    backends take the batched path.
-    """
-
-    __slots__ = ("_target", "_ops", "_committed")
-
-    def __init__(self, target: "WindowStateBackend") -> None:
-        self._target = target
-        self._ops: list[tuple] = []
-        self._committed = False
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def append(self, key: bytes, window: Window, value: Any, timestamp: float) -> None:
-        self._ops.append(("append", key, window, value, timestamp))
-
-    def rmw_put(self, key: bytes, window: Window, aggregate: Any) -> None:
-        self._ops.append(("rmw_put", key, window, aggregate))
-
-    def rmw_remove(self, key: bytes, window: Window) -> None:
-        self._ops.append(("rmw_remove", key, window))
-
-    def commit(self) -> None:
-        if self._committed:
-            return
-        self._committed = True
-        ops, self._ops = self._ops, []
-        if ops:
-            self._target.apply_write_batch(ops)
-
-    def discard(self) -> None:
-        self._committed = True
-        self._ops = []
-
-    def __enter__(self) -> "WindowWriteBatch":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.commit()
-        else:
-            self.discard()
-
-
 class KVStore(ABC):
     """Generic persistent KV store interface (byte keys, byte values)."""
 
@@ -607,11 +557,11 @@ class WindowStateBackend(ABC):
         """Fetch & remove the aggregate of ``(key, window)`` (trigger)."""
 
     # --- batched hot path -----------------------------------------------
-    # The engine's only mutation surface: operators hand the backend
-    # per-batch entry lists (size 1 where a pattern needs per-record
-    # ordering).  Defaults loop over the per-tuple methods; CAP_BATCH
-    # backends override with one amortized pass that must stay
-    # charge-identical to the loop.
+    # Operators hand the backend append runs as entry lists (size 1 on
+    # the per-record path); read-modify-write stays per record through
+    # rmw_get/rmw_put.  The default loops over append; CAP_BATCH backends
+    # override with one amortized pass that must stay charge-identical to
+    # the loop.
     def multi_append(
         self, entries: list[tuple[bytes, Window, Any, float]]
     ) -> None:
@@ -619,41 +569,6 @@ class WindowStateBackend(ABC):
         entries, in order."""
         for key, window, value, timestamp in entries:
             self.append(key, window, value, timestamp)
-
-    def multi_get(self, cells: list[tuple[bytes, Window]]) -> list[Any | None]:
-        """Batched non-destructive point read: the current aggregate of
-        each ``(key, window)`` cell (:meth:`rmw_get`), in cell order."""
-        return [self.rmw_get(key, window) for key, window in cells]
-
-    def write_batch(self) -> WindowWriteBatch:
-        """An accumulate-then-commit :class:`WindowWriteBatch` bound to
-        this backend."""
-        return WindowWriteBatch(self)
-
-    def apply_write_batch(self, ops: list[tuple]) -> None:
-        """Apply a committed :class:`WindowWriteBatch`'s ordered op list.
-
-        Consecutive append runs are funneled through :meth:`multi_append`
-        so even the default implementation takes the batched path; RMW
-        ops dispatch singly (their read-modify-write ordering is the
-        semantics).
-        """
-        run: list[tuple[bytes, Window, Any, float]] = []
-        for op in ops:
-            if op[0] == "append":
-                run.append((op[1], op[2], op[3], op[4]))
-                continue
-            if run:
-                self.multi_append(run)
-                run = []
-            if op[0] == "rmw_put":
-                self.rmw_put(op[1], op[2], op[3])
-            elif op[0] == "rmw_remove":
-                self.rmw_remove(op[1], op[2])
-            else:
-                raise ValueError(f"unknown write-batch op {op[0]!r}")
-        if run:
-            self.multi_append(run)
 
     # --- lifecycle ------------------------------------------------------
     @abstractmethod

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.bench.harness import RunRecord, run_latency, run_matrix, run_query
@@ -193,6 +195,49 @@ class TestBenchSmoke:
         assert failures == []
         assert any("new figure" in line for line in report)
         assert any("missing" in line for line in report)
+
+    @staticmethod
+    def _summaries(tmp_path, runs):
+        """Write ``runs`` (figure -> seconds maps) as summary documents."""
+        paths = []
+        for i, run in enumerate(runs):
+            path = tmp_path / f"run{i}.json"
+            path.write_text(json.dumps({"profile": "tiny", "figures": {
+                name: {"elapsed_seconds": secs} for name, secs in run.items()
+            }}))
+            paths.append(str(path))
+        return paths
+
+    def _gate(self, tmp_path, runs, baseline):
+        from repro.bench.smoke import main
+
+        base = tmp_path / "baseline.json"
+        base.write_text(json.dumps({"profile": "tiny", "figures": baseline}))
+        return main([*self._summaries(tmp_path, runs), "--baseline", str(base)])
+
+    def test_figure_slow_in_every_run_fails_min_of_n(self, tmp_path):
+        baseline = {"fig4": 1.0, "fig8": 2.0, "fig9": 3.0}
+        slow = {"fig4": 1.0, "fig8": 2.0, "fig9": 4.5}  # fig9 1.5x slower
+        assert self._gate(tmp_path, [slow, dict(slow)], baseline) == 1
+
+    def test_figure_slow_in_one_run_passes_min_of_n(self, tmp_path):
+        baseline = {"fig4": 1.0, "fig8": 2.0, "fig9": 3.0}
+        slow = {"fig4": 1.0, "fig8": 2.0, "fig9": 4.5}
+        assert self._gate(tmp_path, [slow, dict(baseline)], baseline) == 0
+        # ... while that one run alone trips the gate.
+        assert self._gate(tmp_path, [slow], baseline) == 1
+
+    def test_update_writes_min_of_n(self, tmp_path):
+        from repro.bench.smoke import main
+
+        runs = self._summaries(
+            tmp_path, [{"fig4": 1.2, "fig8": 2.0}, {"fig4": 1.0, "fig8": 2.5}]
+        )
+        out = tmp_path / "baseline.json"
+        assert main([*runs, "--update", "--baseline", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written["profile"] == "tiny"
+        assert written["figures"] == {"fig4": 1.0, "fig8": 2.0}
 
     def test_elapsed_extraction_skips_untimed_figures(self):
         from repro.bench.smoke import elapsed_by_figure

@@ -194,19 +194,12 @@ class TestBatchCapability:
             def append(self, key, window, value, timestamp):
                 calls.append(("append", key, value))
 
-            def rmw_get(self, key, window):
-                calls.append(("get", key))
-                return None
-
         backend = RecordingBackend()
         assert CAP_BATCH not in backend.capabilities
         backend.multi_append([
             (b"a", GLOBAL_WINDOW, 1, 0.0), (b"b", GLOBAL_WINDOW, 2, 1.0),
         ])
-        assert backend.multi_get([(b"a", GLOBAL_WINDOW)]) == [None]
-        assert calls == [
-            ("append", b"a", 1), ("append", b"b", 2), ("get", b"a"),
-        ]
+        assert calls == [("append", b"a", 1), ("append", b"b", 2)]
 
     def test_bare_store_write_batch_applies_on_commit(self):
         class RecordingStore(BareStore):

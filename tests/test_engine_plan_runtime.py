@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.backends import memory_backend
 from repro.engine import StreamEnvironment, TumblingWindowAssigner
 from repro.engine.functions import CollectProcessFunction, CountAggregate
+from repro.engine.runtime import Executor
 from repro.errors import PlanError, StoreOOMError
 
 
@@ -64,20 +68,14 @@ class TestPlanConstruction:
         with pytest.raises(PlanError):
             env.execute()
 
-    def test_key_by_must_return_bytes(self):
-        env = make_env()
-        (
-            env.from_source(simple_source())
-            .key_by(lambda v: v[0])  # str, not bytes
-            .window(TumblingWindowAssigner(10.0))
-            .aggregate(CountAggregate())
-            .sink()
-        )
-        with pytest.raises(PlanError):
-            env.execute()
-
 
 class TestStatelessOperators:
+    """Stateless transforms in throughput mode (the columnar batch
+    router); the latency-mode subclass below reruns every test on the
+    per-record router."""
+
+    RUN: dict = {}
+
     def test_map_filter_flat_map(self):
         env = make_env()
         (
@@ -90,7 +88,7 @@ class TestStatelessOperators:
             .process(CollectProcessFunction())
             .sink("out")
         )
-        result = env.execute()
+        result = env.execute(**self.RUN)
         (record,) = result.sink_outputs["out"]
         _key, _window, values = record
         assert sorted(values) == [0, 1, 20, 21, 40, 41, 60, 61, 80, 81]
@@ -107,8 +105,39 @@ class TestStatelessOperators:
             .aggregate(CountAggregate())
             .sink("out")
         )
-        result = env.execute()
+        result = env.execute(**self.RUN)
         assert result.sink_outputs["out"] == [10]
+
+    def test_multiple_sources_merged_in_time_order(self):
+        env = make_env()
+        s1 = env.from_source([(("k", 1), 0.0), (("k", 3), 20.0)])
+        s2 = env.from_source([(("k", 2), 10.0)])
+        (
+            s1.union(s2)
+            .key_by(lambda v: v[0].encode())
+            .window(TumblingWindowAssigner(100.0))
+            .process(CollectProcessFunction())
+            .sink("out")
+        )
+        result = env.execute(watermark_interval=1, **self.RUN)
+        (record,) = result.sink_outputs["out"]
+        assert [v[1] for v in record[2]] == [1, 2, 3]
+
+    def test_key_by_must_return_bytes(self):
+        env = make_env()
+        (
+            env.from_source(simple_source())
+            .key_by(lambda v: v[0])  # str, not bytes
+            .window(TumblingWindowAssigner(10.0))
+            .aggregate(CountAggregate())
+            .sink()
+        )
+        with pytest.raises(PlanError):
+            env.execute(**self.RUN)
+
+
+class TestStatelessOperatorsLatencyMode(TestStatelessOperators):
+    RUN = {"arrival_rate": 100.0}
 
 
 class TestExecution:
@@ -127,20 +156,28 @@ class TestExecution:
         assert result.job_seconds > 0
         assert result.throughput > 0
 
-    def test_multiple_sources_merged_in_time_order(self):
+    def test_finished_executor_is_freed_without_cycle_collection(self):
+        # The compiled router's closures point back at the executor; the
+        # run must release them, or every finished job's stores would
+        # linger until the cycle collector happens to run.
         env = make_env()
-        s1 = env.from_source([(("k", 1), 0.0), (("k", 3), 20.0)])
-        s2 = env.from_source([(("k", 2), 10.0)])
         (
-            s1.union(s2)
-            .key_by(lambda v: v[0].encode())
-            .window(TumblingWindowAssigner(100.0))
-            .process(CollectProcessFunction())
+            env.from_source(simple_source(100))
+            .key_by(keyed)
+            .window(TumblingWindowAssigner(10.0))
+            .aggregate(CountAggregate())
             .sink("out")
         )
-        result = env.execute(watermark_interval=1)
-        (record,) = result.sink_outputs["out"]
-        assert [v[1] for v in record[2]] == [1, 2, 3]
+        executor = Executor(env)
+        alive = weakref.ref(executor)
+        gc.disable()
+        try:
+            result = executor.run()
+            del executor
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert sum(result.sink_outputs["out"]) == 100
 
     def test_per_operator_metrics_present(self):
         env = make_env()
